@@ -19,11 +19,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"sort"
 	"testing"
 
+	"abc/internal/netem"
+	"abc/internal/qdisc"
 	"abc/internal/sim"
+	"abc/internal/trace"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -85,7 +89,73 @@ func goldenCases() []goldenCase {
 		{"sharded-mesh-s1", func() (any, error) { return shardedMeshGolden(1, short) }},
 		{"sharded-mesh-s2", func() (any, error) { return shardedMeshGolden(2, short) }},
 		{"sharded-mesh-s4", func() (any, error) { return shardedMeshGolden(4, short) }},
+		// The chain seams: a sharded chain (its junctions "fwd0"/"fwd1"
+		// cut across two shards) and a chain whose early-exiting flow ACKs
+		// into rev0, whose ACK-only reverse link keeps a droptail "auto"
+		// qdisc, and whose tighter reverse trace must not become the
+		// utilization reference.
+		{"chain-sharded-s2", func() (any, error) {
+			spec := targetedSpec("ABC", short, 1)
+			spec.Links[0].Delay = 4 * sim.Millisecond
+			spec.Links[0].Attack = targetedAttack()
+			spec.Shards = 2
+			return chainGolden(spec)
+		}},
+		{"chain-ack-jump", func() (any, error) { return chainGolden(ackJumpSpec(short)) }},
 	}
+}
+
+// ackJumpSpec is a two-link chain with a two-link reverse chain, every
+// qdisc "auto": flow 1 leaves the forward chain after fwd0 and ACKs
+// into rev0, flow 2 sends reverse data over rev0 only, so rev1 carries
+// nothing but ACKs. rev0's trace is tighter than fwd0's.
+func ackJumpSpec(dur sim.Time) Spec {
+	auto := QdiscSpec{Kind: "auto"}
+	return Spec{
+		Seed:     1,
+		Duration: dur,
+		Warmup:   2 * sim.Second,
+		Links: []LinkSpec{
+			{Trace: trace.MustNamedCellular("Verizon1"), Qdisc: auto},
+			{Rate: netem.ConstRate(20e6), Qdisc: auto},
+		},
+		ReverseLinks: []LinkSpec{
+			{Trace: trace.MustNamedCellular("Verizon4"), Qdisc: auto},
+			{Rate: netem.ConstRate(10e6), Qdisc: auto},
+		},
+		Flows: []FlowSpec{
+			{Scheme: "ABC"},
+			{Scheme: "Cubic", ExitAt: 1},
+			{Scheme: "ABC", Dir: Reverse, ExitAt: 1},
+		},
+	}
+}
+
+// chainGolden runs one spec and digests what its topology compile
+// decides: per-flow results, utilization, drop and adversary counters,
+// and the discipline built on each link.
+func chainGolden(spec Spec) (any, error) {
+	res, pooled, err := Run(spec)
+	if err != nil {
+		return nil, err
+	}
+	kinds := func(qs []qdisc.Qdisc) []string {
+		out := make([]string, len(qs))
+		for i, q := range qs {
+			out[i] = fmt.Sprintf("%T", q)
+		}
+		return out
+	}
+	return struct {
+		Flows                             []flowDigest
+		Qdiscs, ReverseQdiscs             []string
+		Adversary                         *AdversaryReport
+		AdvDrops, AdvDelayed, AdvStripped int64
+	}{
+		digest(res, pooled.Mean(), pooled.P95()),
+		kinds(res.Qdiscs), kinds(res.ReverseQdiscs),
+		res.Adversary, res.AdvDrops, res.AdvDelayed, res.AdvStripped,
+	}, nil
 }
 
 // shardedMeshGolden runs the sharded-mesh driver and masks the shard

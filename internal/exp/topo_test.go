@@ -68,6 +68,33 @@ func TestAutoQdiscDerivedPerLink(t *testing.T) {
 	if _, ok := res.Qdiscs[0].(*abc.Router); ok {
 		t.Errorf("link 0 qdisc should not be an ABC router (only Cubic enters it)")
 	}
+
+	// Reverse links derive only from reverse-direction data: a link that
+	// carries nothing but forward flows' ACKs stays droptail even when
+	// those flows are ABC, and one a reverse ABC flow enters gets a router.
+	res, _, err = Run(Spec{
+		Seed:     1,
+		Duration: 2 * sim.Second,
+		Warmup:   sim.Second,
+		Links:    []LinkSpec{{Rate: netem.ConstRate(20e6)}},
+		ReverseLinks: []LinkSpec{
+			{Rate: netem.ConstRate(20e6)},
+			{Rate: netem.ConstRate(20e6)},
+		},
+		Flows: []FlowSpec{
+			{Scheme: "ABC"},
+			{Scheme: "ABC", Dir: Reverse, EnterAt: 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := res.ReverseQdiscs[0].(*qdisc.DropTail); !ok {
+		t.Errorf("reverse link 0 qdisc = %T, want *qdisc.DropTail (only forward flows' ACKs use it)", res.ReverseQdiscs[0])
+	}
+	if _, ok := res.ReverseQdiscs[1].(*abc.Router); !ok {
+		t.Errorf("reverse link 1 qdisc = %T, want *abc.Router (a reverse ABC flow enters it)", res.ReverseQdiscs[1])
+	}
 }
 
 // TestMultiHopCrossTraffic: cross flows that enter and leave the chain
