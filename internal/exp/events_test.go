@@ -237,6 +237,7 @@ func TestEventValidation(t *testing.T) {
 		return Spec{
 			Seed:     1,
 			Duration: 2 * sim.Second,
+			Warmup:   sim.Second,
 			Nodes:    []string{"a", "b"},
 			Edges: []EdgeSpec{
 				{Name: "e1", From: "a", To: "b",

@@ -66,7 +66,8 @@ func goldenCases() []goldenCase {
 		{"uplink-congested-ack", func() (any, error) {
 			return UplinkCongestedACK([]string{"ABC", "Cubic"}, 2, short, 1)
 		}},
-		{"hetero-rtt", func() (any, error) { return HeteroRTTFairness("ABC", nil, short, 1) }},
+		// Past the driver's 10 s warmup, so the window is not empty.
+		{"hetero-rtt", func() (any, error) { return HeteroRTTFairness("ABC", nil, 12*sim.Second, 1) }},
 		{"lossy-random", func() (any, error) { return LossyLink([]string{"ABC"}, nil, false, short, 1) }},
 		{"lossy-bursty", func() (any, error) { return LossyLink([]string{"ABC"}, nil, true, short, 1) }},
 		{"mesh-shared-junction", func() (any, error) {

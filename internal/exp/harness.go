@@ -596,6 +596,9 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 	if spec.Warmup <= 0 {
 		spec.Warmup = 4 * sim.Second
 	}
+	if spec.Warmup >= spec.Duration {
+		return nil, nil, fmt.Errorf("exp: Warmup %v is not before Duration %v; the measurement window is empty", spec.Warmup, spec.Duration)
+	}
 	// Misconfigurations that used to no-op silently are Spec errors: a
 	// probe that never fires and a sampling period that would arm timers
 	// in the past are both wiring bugs, not requests for "off".

@@ -9,6 +9,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"abc/internal/cc"
@@ -102,6 +103,7 @@ func TestHybridWiring(t *testing.T) {
 		return Spec{
 			Seed:     1,
 			Duration: sim.Second,
+			Warmup:   sim.Second / 2,
 			Links: []LinkSpec{{
 				Rate:  netem.ConstRate(10e6),
 				Qdisc: QdiscSpec{Kind: "auto", Buffer: 250},
@@ -112,8 +114,8 @@ func TestHybridWiring(t *testing.T) {
 	t.Run("unknown-edge", func(t *testing.T) {
 		spec := base()
 		spec.Background = []BackgroundSpec{{Edge: "fwd7", Kind: "const", RateMbps: 1}}
-		if _, _, err := Run(spec); err == nil {
-			t.Fatal("background on unknown edge did not error")
+		if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), `unknown edge "fwd7"`) {
+			t.Fatalf("background on unknown edge: err = %v", err)
 		}
 	})
 	t.Run("duplicate-edge", func(t *testing.T) {
@@ -122,15 +124,15 @@ func TestHybridWiring(t *testing.T) {
 			{Edge: "fwd0", Kind: "const", RateMbps: 1},
 			{Edge: "fwd0", Kind: "const", RateMbps: 2},
 		}
-		if _, _, err := Run(spec); err == nil {
-			t.Fatal("duplicate background edge did not error")
+		if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "already carries an aggregate") {
+			t.Fatalf("duplicate background edge: err = %v", err)
 		}
 	})
 	t.Run("bad-kind", func(t *testing.T) {
 		spec := base()
 		spec.Background = []BackgroundSpec{{Edge: "fwd0", Kind: "poisson", RateMbps: 1}}
-		if _, _, err := Run(spec); err == nil {
-			t.Fatal("unknown aggregate kind did not error")
+		if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), `unknown aggregate kind "poisson"`) {
+			t.Fatalf("unknown aggregate kind: err = %v", err)
 		}
 	})
 	t.Run("works-on-trace-link", func(t *testing.T) {
@@ -154,6 +156,7 @@ func TestHybridShardsDeterminism(t *testing.T) {
 		spec := Spec{
 			Seed:     1,
 			Duration: 4 * sim.Second,
+			Warmup:   sim.Second,
 			Shards:   shards,
 			Nodes:    []string{"src", "gw", "dst"},
 			Edges: []EdgeSpec{

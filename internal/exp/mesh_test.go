@@ -40,6 +40,7 @@ func TestMeshSharedJunctionFairness(t *testing.T) {
 func TestMeshRejectsMalformedRoutes(t *testing.T) {
 	base := func() Spec {
 		s := meshJunctionSpec("ABC", 2*sim.Second, 1)
+		s.Warmup = sim.Second
 		return s
 	}
 	cases := []struct {

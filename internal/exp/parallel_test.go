@@ -29,7 +29,7 @@ func TestParallelDeterminismFig9(t *testing.T) {
 
 	schemes := []string{"ABC", "Cubic", "Cubic+Codel"}
 	traces := []string{"Verizon1", "TMobile1"}
-	const dur = 4 * sim.Second
+	const dur = 6 * sim.Second
 
 	Parallelism = 1
 	seq, err := Fig9Bars(schemes, traces, dur, 1)

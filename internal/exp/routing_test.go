@@ -39,6 +39,16 @@ func TestNegativeSampleRejected(t *testing.T) {
 	wantRunError(t, spec, "negative Sample")
 }
 
+// TestEmptyWindowRejected: a Warmup at or past Duration (after defaults)
+// leaves nothing to measure; Run used to report all-zero results.
+func TestEmptyWindowRejected(t *testing.T) {
+	spec := conservationSpec(1, 200*sim.Millisecond, sim.Second)
+	spec.Duration, spec.Warmup = 2*sim.Second, 0 // default Warmup is 4 s
+	wantRunError(t, spec, "Warmup 4000.000ms is not before Duration 2000.000ms")
+	spec.Warmup = spec.Duration
+	wantRunError(t, spec, "Warmup 2000.000ms is not before Duration 2000.000ms")
+}
+
 // TestScenarioNegativeSampleMs: the JSON front door enforces the same
 // contract at compile time.
 func TestScenarioNegativeSampleMs(t *testing.T) {

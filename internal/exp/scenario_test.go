@@ -393,7 +393,7 @@ func TestScenarioWorkloadClauses(t *testing.T) {
 func TestScenarioEventClauses(t *testing.T) {
 	compileRun := func(events string) error {
 		sc, err := ParseScenario([]byte(`{
-			"seed": 1, "duration_s": 2,
+			"seed": 1, "duration_s": 2, "warmup_s": 1,
 			"nodes": ["a", "b"],
 			"edges": [
 				{"name": "e1", "from": "a", "to": "b", "kind": "rate", "rate_mbps": 8,

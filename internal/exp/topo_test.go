@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"abc/internal/abc"
@@ -21,22 +22,24 @@ func TestRunRejectsBadEnterAt(t *testing.T) {
 	base := Spec{
 		Seed:     1,
 		Duration: 2 * sim.Second,
+		Warmup:   sim.Second,
 		Links:    []LinkSpec{{Rate: netem.ConstRate(10e6)}},
 	}
 	for _, tc := range []struct {
 		name string
 		flow FlowSpec
+		want string
 	}{
-		{"enter negative", FlowSpec{Scheme: "ABC", EnterAt: -1}},
-		{"enter past end", FlowSpec{Scheme: "ABC", EnterAt: 1}},
-		{"exit before enter", FlowSpec{Scheme: "ABC", EnterAt: 0, ExitAt: -2}},
-		{"exit past end", FlowSpec{Scheme: "ABC", ExitAt: 2}},
-		{"reverse without reverse links", FlowSpec{Scheme: "ABC", Dir: Reverse}},
+		{"enter negative", FlowSpec{Scheme: "ABC", EnterAt: -1}, "flow 0: EnterAt -1 out of range [0, 1)"},
+		{"enter past end", FlowSpec{Scheme: "ABC", EnterAt: 1}, "flow 0: EnterAt 1 out of range [0, 1)"},
+		{"exit before enter", FlowSpec{Scheme: "ABC", EnterAt: 0, ExitAt: -2}, "flow 0: ExitAt -2 out of range [1, 1]"},
+		{"exit past end", FlowSpec{Scheme: "ABC", ExitAt: 2}, "flow 0: ExitAt 2 out of range [1, 1]"},
+		{"reverse without reverse links", FlowSpec{Scheme: "ABC", Dir: Reverse}, "flow 0: no reverse links for its direction"},
 	} {
 		spec := base
 		spec.Flows = []FlowSpec{tc.flow}
-		if _, _, err := Run(spec); err == nil {
-			t.Errorf("%s: Run accepted invalid flow %+v", tc.name, tc.flow)
+		if _, _, err := Run(spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -47,6 +50,7 @@ func TestAutoQdiscDerivedPerLink(t *testing.T) {
 	res, _, err := Run(Spec{
 		Seed:     1,
 		Duration: 2 * sim.Second,
+		Warmup:   sim.Second,
 		Links: []LinkSpec{
 			{Rate: netem.ConstRate(20e6)},
 			{Rate: netem.ConstRate(20e6)},
@@ -317,6 +321,7 @@ func TestDemuxDropSurfaced(t *testing.T) {
 	spec := Spec{
 		Seed:     1,
 		Duration: 2 * sim.Second,
+		Warmup:   sim.Second,
 		Links:    []LinkSpec{{Rate: netem.ConstRate(10e6)}},
 		Flows:    []FlowSpec{{Scheme: "Cubic"}},
 	}
