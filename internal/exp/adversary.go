@@ -58,21 +58,11 @@ type AdversaryReport struct {
 	Stripped int64 `json:"stripped"`
 }
 
-// specAttacks collects every attack the spec can ever install: build-time
-// attacks on chain links, reverse links and mesh edges, plus attacks
-// scheduled by "attack" events.
+// specAttacks collects every attack a mesh-form spec can ever install:
+// build-time attacks on its edges, plus attacks scheduled by "attack"
+// events.
 func specAttacks(spec *Spec) []*topo.Attack {
 	var out []*topo.Attack
-	for i := range spec.Links {
-		if a := spec.Links[i].Attack; a != nil {
-			out = append(out, a)
-		}
-	}
-	for i := range spec.ReverseLinks {
-		if a := spec.ReverseLinks[i].Attack; a != nil {
-			out = append(out, a)
-		}
-	}
 	for i := range spec.Edges {
 		if a := spec.Edges[i].Link.Attack; a != nil {
 			out = append(out, a)
@@ -104,9 +94,10 @@ type advCollector struct {
 	bystanderBytes int64
 }
 
-// newAdvCollector returns a collector when the spec contains an adversary
-// (any attack, any misbehaving flow, any lying router) and nil otherwise,
-// so honest runs carry zero overhead and a nil Result.Adversary.
+// newAdvCollector returns a collector when the mesh-form spec contains
+// an adversary (any attack, any misbehaving flow, any lying router) and
+// nil otherwise, so honest runs carry zero overhead and a nil
+// Result.Adversary.
 func newAdvCollector(spec *Spec) *advCollector {
 	attacks := specAttacks(spec)
 	attackers := map[int]bool{}
@@ -116,12 +107,6 @@ func newAdvCollector(spec *Spec) *advCollector {
 		}
 	}
 	lying := false
-	for i := range spec.Links {
-		lying = lying || spec.Links[i].Qdisc.ABCLie != 0
-	}
-	for i := range spec.ReverseLinks {
-		lying = lying || spec.ReverseLinks[i].Qdisc.ABCLie != 0
-	}
 	for i := range spec.Edges {
 		lying = lying || spec.Edges[i].Link.Qdisc.ABCLie != 0
 	}

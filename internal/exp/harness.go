@@ -10,6 +10,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"abc/internal/abc"
 	"abc/internal/app"
@@ -199,8 +200,8 @@ type FlowSpec struct {
 	// route via Dir/EnterAt/ExitAt instead).
 	Path []string
 	// AckPath routes the flow's ACKs over named mesh edges. Empty means
-	// an uncongested direct wire back to the sender (the chain harness's
-	// no-ReverseLinks default).
+	// an uncongested direct wire back to the sender (what a chain without
+	// ReverseLinks lowers to).
 	AckPath []string
 	// Misbehave wraps the constructed algorithm in a misbehaving-sender
 	// shim. The only recognized value is "greedy": a sender that ignores
@@ -231,7 +232,10 @@ type EdgeSpec struct {
 // Spec is a complete scenario: either a chain (Links / ReverseLinks,
 // flows routed by Dir/EnterAt/ExitAt) or a mesh (Nodes / Edges, flows
 // routed by explicit Path/AckPath edge lists). The two forms are
-// mutually exclusive.
+// mutually exclusive. A chain is shorthand for the mesh it denotes —
+// junctions "fwd0".."fwdN" then "rev0".."revM", link i of each chain the
+// edge "fwd<i>" / "rev<i>" between junctions i and i+1 — and Run
+// compiles it as that mesh.
 type Spec struct {
 	Seed     int64
 	Duration sim.Time
@@ -323,13 +327,15 @@ type Result struct {
 	QueueDelayTS *metrics.Timeseries
 	// WeightTS samples a dual queue's ABC weight when present.
 	WeightTS *metrics.Timeseries
-	// Qdiscs exposes the built bottleneck disciplines, first hop first.
+	// Qdiscs exposes the built disciplines of a chain's forward links,
+	// first hop first, or of a mesh's non-wire edges in Spec.Edges order.
 	Qdiscs []qdisc.Qdisc
 	// ReverseQdiscs exposes the reverse-chain disciplines, first reverse
-	// hop first.
+	// hop first (nil for meshes).
 	ReverseQdiscs []qdisc.Qdisc
-	// EdgeQdiscs maps mesh edge names to their built disciplines (nil for
-	// chain scenarios; wire edges have no entry).
+	// EdgeQdiscs maps edge names — mesh edge names, or chain links
+	// "fwd<i>" / "rev<i>" — to their built disciplines (wire edges have
+	// no entry).
 	EdgeQdiscs map[string]qdisc.Qdisc
 	// Drops counts packets that reached a junction with no forwarding
 	// entry for their flow and direction. In a static scenario anything
@@ -412,113 +418,6 @@ func (r *Result) Summary(scheme string, pooled *metrics.DelayRecorder) metrics.S
 		MeanMs:      pooled.Mean(),
 		P95Ms:       pooled.P95(),
 	}
-}
-
-// span is a flow's resolved [EnterAt, exit) range over its chain.
-type span struct{ enter, exit int }
-
-// resolveSpan validates an EnterAt/ExitAt pair against a chain; what
-// names the owner ("flow 0", "workload 1") and dir its direction, for
-// error messages.
-func resolveSpan(what string, dir Direction, enterAt, exitAt, chainLen int) (span, error) {
-	name := "links"
-	if dir == Reverse {
-		name = "reverse links"
-	}
-	if chainLen == 0 {
-		return span{}, fmt.Errorf("exp: %s: no %s for its direction", what, name)
-	}
-	if enterAt < 0 || enterAt >= chainLen {
-		return span{}, fmt.Errorf("exp: %s: EnterAt %d out of range [0, %d)", what, enterAt, chainLen)
-	}
-	exit := exitAt
-	if exit == 0 {
-		exit = chainLen
-	}
-	if exit < 0 || exit > chainLen {
-		return span{}, fmt.Errorf("exp: %s: ExitAt %d out of range [1, %d]", what, exitAt, chainLen)
-	}
-	if exit <= enterAt {
-		return span{}, fmt.Errorf("exp: %s: ExitAt %d does not reach past EnterAt %d", what, exitAt, enterAt)
-	}
-	return span{enter: enterAt, exit: exit}, nil
-}
-
-// flowSpan validates a flow's EnterAt/ExitAt against its chain.
-func flowSpan(i int, fs *FlowSpec, chainLen int) (span, error) {
-	return resolveSpan(fmt.Sprintf("flow %d", i), fs.Dir, fs.EnterAt, fs.ExitAt, chainLen)
-}
-
-// autoScheme picks the deriving scheme for link i of a chain: the first
-// flow of the matching direction whose data path traverses the link,
-// falling back to the first such workload (a link carrying only
-// app-spawned flows still derives its discipline from them).
-func autoScheme(spec *Spec, dir Direction, i int, spans, wspans []span) string {
-	for f := range spec.Flows {
-		if spec.Flows[f].Dir != dir {
-			continue
-		}
-		if spans[f].enter <= i && i < spans[f].exit {
-			return spec.Flows[f].Scheme
-		}
-	}
-	for w := range spec.Workloads {
-		if spec.Workloads[w].Dir != dir {
-			continue
-		}
-		if wspans[w].enter <= i && i < wspans[w].exit {
-			return spec.Workloads[w].Scheme
-		}
-	}
-	return ""
-}
-
-// buildChain adds one chain of links to the graph as nodes n[0..len] and
-// returns the edge ids and built qdiscs, first hop first. Each link's
-// qdisc and bottleneck schedule on the simulator of the junction feeding
-// it (the edge's From node), which is the graph's sole simulator unless
-// the spec is sharded.
-func buildChain(g *topo.Graph, spec *Spec, links []LinkSpec, dir Direction, spans, wspans []span) (edges []int, qdiscs []qdisc.Qdisc, err error) {
-	if len(links) == 0 {
-		return nil, nil, nil
-	}
-	prefix := "fwd"
-	if dir == Reverse {
-		prefix = "rev"
-	}
-	nodes := make([]int, len(links)+1)
-	for i := range nodes {
-		nodes[i] = g.AddNode(fmt.Sprintf("%s%d", prefix, i))
-	}
-	for i := range links {
-		ls := &links[i]
-		s := g.SimFor(nodes[i])
-		kind, err := ls.kind()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%v (link %d)", err, i)
-		}
-		qd, err := ls.Qdisc.build(autoScheme(spec, dir, i, spans, wspans), s)
-		if err != nil {
-			return nil, nil, err
-		}
-		qdiscs = append(qdiscs, qd)
-		mk, err := linkFactory(s, ls, kind, qd)
-		if err != nil {
-			return nil, nil, err
-		}
-		id, err := g.AddEdge(fmt.Sprintf("%s%d", prefix, i), nodes[i], nodes[i+1], ls.Delay, ls.Impair, mk)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ls.Attack != nil {
-			if err := ls.Attack.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("exp: link %s%d: %v", prefix, i, err)
-			}
-			g.Edge(id).SetAttack(ls.Attack)
-		}
-		edges = append(edges, id)
-	}
-	return edges, qdiscs, nil
 }
 
 // linkFactory returns the topo.LinkFactory for one link spec.
@@ -612,171 +511,50 @@ func Run(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 		return nil, nil, err
 	}
 	if len(spec.Nodes) > 0 || len(spec.Edges) > 0 {
-		return runMesh(spec)
-	}
-	if len(spec.Links) == 0 {
-		return nil, nil, fmt.Errorf("exp: no links in spec")
-	}
-	if len(spec.Flows) == 0 && len(spec.Workloads) == 0 {
-		return nil, nil, fmt.Errorf("exp: no flows in spec")
-	}
-	// Resolve every flow's and workload's span first: spans drive both
-	// validation and per-link "auto" qdisc derivation.
-	spans := make([]span, len(spec.Flows))
-	for i := range spec.Flows {
-		fs := &spec.Flows[i]
-		chainLen := len(spec.Links)
-		if fs.Dir == Reverse {
-			chainLen = len(spec.ReverseLinks)
+		if len(spec.Links) > 0 || len(spec.ReverseLinks) > 0 {
+			return nil, nil, fmt.Errorf("exp: Links/ReverseLinks (chain) and Nodes/Edges (mesh) are mutually exclusive")
 		}
-		sp, err := flowSpan(i, fs, chainLen)
-		if err != nil {
-			return nil, nil, err
-		}
-		spans[i] = sp
+		return runGraph(spec, spec)
 	}
-	wspans := make([]span, len(spec.Workloads))
-	for i := range spec.Workloads {
-		ws := &spec.Workloads[i]
-		if len(ws.Path) > 0 || len(ws.AckPath) > 0 {
-			return nil, nil, fmt.Errorf("exp: workload %d: Path/AckPath route over mesh edges; chain workloads use Dir/EnterAt/ExitAt", i)
-		}
-		chainLen := len(spec.Links)
-		if ws.Dir == Reverse {
-			chainLen = len(spec.ReverseLinks)
-		}
-		sp, err := resolveSpan(fmt.Sprintf("workload %d", i), ws.Dir, ws.EnterAt, ws.ExitAt, chainLen)
-		if err != nil {
-			return nil, nil, err
-		}
-		wspans[i] = sp
-	}
-
-	res := &Result{Spec: spec, adv: newAdvCollector(&spec)}
-	pooled := &metrics.DelayRecorder{}
-
-	// The topology: both chains as graph edges, every flow an explicit
-	// forward and reverse route over them. Shards > 1 spreads the
-	// junctions over parallel event queues (see shard.go).
-	g, err := chainGraph(&spec, spans)
+	m, err := lowerChain(&spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := g.S
-	res.Graph = g
-	attachObs(g)
-	fwdEdges, fwdQdiscs, err := buildChain(g, &spec, spec.Links, Forward, spans, wspans)
-	if err != nil {
-		return nil, nil, err
-	}
-	revEdges, revQdiscs, err := buildChain(g, &spec, spec.ReverseLinks, Reverse, spans, wspans)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Qdiscs = fwdQdiscs
-	res.ReverseQdiscs = revQdiscs
-
-	// Flows: resolve every flow's chain span into explicit edge routes.
-	chainRoute := func(dir Direction, sp span) flowRoute {
-		if dir == Reverse {
-			return flowRoute{data: revEdges[sp.enter:sp.exit], ack: fwdEdges}
-		}
-		return flowRoute{data: fwdEdges[sp.enter:sp.exit], ack: revEdges}
-	}
-	routes := make([]flowRoute, len(spec.Flows))
-	for i := range spec.Flows {
-		fs := &spec.Flows[i]
-		if len(fs.Path) > 0 || len(fs.AckPath) > 0 {
-			return nil, nil, fmt.Errorf("exp: flow %d: Path/AckPath route over mesh edges; chain flows use Dir/EnterAt/ExitAt", i)
-		}
-		routes[i] = chainRoute(fs.Dir, spans[i])
-	}
-	if err := wireFlows(g, &spec, res, pooled, routes); err != nil {
-		return nil, nil, err
-	}
-	wroutes := make([]flowRoute, len(spec.Workloads))
-	for i := range spec.Workloads {
-		wroutes[i] = chainRoute(spec.Workloads[i].Dir, wspans[i])
-	}
-	runners, err := startWorkloads(s, g, &spec, res, pooled, wroutes)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Chain links are addressable in the event timeline as "fwd<i>" /
-	// "rev<i>".
-	edgeID := make(map[string]int, len(fwdEdges)+len(revEdges))
-	for i, id := range fwdEdges {
-		edgeID[fmt.Sprintf("fwd%d", i)] = id
-	}
-	for i, id := range revEdges {
-		edgeID[fmt.Sprintf("rev%d", i)] = id
-	}
-	if err := scheduleEvents(s, g, &spec, res, edgeID); err != nil {
-		return nil, nil, err
-	}
-	if err := startRouting(g, &spec, res); err != nil {
-		return nil, nil, err
-	}
-	if err := startBackgrounds(g, &spec, res, edgeID); err != nil {
-		return nil, nil, err
-	}
-
-	runAndMeasure(g, &spec, res, pooled, res.Qdiscs[0], capacityFn(&spec.Links[0]))
-	if err := finishWorkloads(runners); err != nil {
-		return nil, nil, err
-	}
-
-	// Utilization against the tightest trace link of the data chain over
-	// the measurement window (the paper reports utilization of the
-	// emulated cell link). Only flows and workloads whose route actually
-	// traverses that link count towards its utilization.
-	tightestTraceUtilization(&spec, res, len(spec.Links),
-		func(li int) *trace.Trace { return spec.Links[li].Trace },
-		func(f, li int) bool {
-			return spec.Flows[f].Dir == Forward &&
-				spans[f].enter <= li && li < spans[f].exit
-		},
-		func(w, li int) bool {
-			return spec.Workloads[w].Dir == Forward &&
-				wspans[w].enter <= li && li < wspans[w].exit
-		})
-	return res, pooled, nil
+	return runGraph(m, spec)
 }
 
 // tightestTraceUtilization sets res.Utilization against the tightest
-// trace bottleneck over the measurement window: of the n links for which
-// traceAt returns a trace, the one delivering the fewest bytes between
-// Warmup and Duration is the reference, and only flows and workloads
-// whose data route traverses it (per the traverses/wtraverses
-// predicates) count as delivered bytes. Both the chain and the mesh
-// compiler measure through here, so the utilization rule cannot diverge
-// between the two Spec forms.
-func tightestTraceUtilization(spec *Spec, res *Result, n int, traceAt func(link int) *trace.Trace, traverses func(flow, link int) bool, wtraverses func(workload, link int) bool) {
+// trace bottleneck among the first n edges of the mesh-form spec (the
+// paper reports utilization of the emulated cell link): the one
+// delivering the fewest bytes between Warmup and Duration is the
+// reference, and only flows and workloads whose data route traverses it
+// count as delivered bytes.
+func tightestTraceUtilization(spec *Spec, res *Result, n int) {
 	var minCapBytes int64 = -1
 	minIdx := -1
-	for li := 0; li < n; li++ {
-		tr := traceAt(li)
+	for ei := 0; ei < n; ei++ {
+		tr := spec.Edges[ei].Link.Trace
 		if tr == nil {
 			continue
 		}
 		capBytes := tr.CountIn(spec.Warmup, spec.Duration) * packet.MTU
 		if minCapBytes < 0 || capBytes < minCapBytes {
 			minCapBytes = capBytes
-			minIdx = li
+			minIdx = ei
 		}
 	}
 	if minCapBytes <= 0 {
 		return
 	}
+	ref := spec.Edges[minIdx].Name
 	var delivered int64
 	for f := range res.Flows {
-		if traverses(f, minIdx) {
+		if slices.Contains(spec.Flows[f].Path, ref) {
 			delivered += res.Flows[f].Bytes
 		}
 	}
 	for w := range res.Workloads {
-		if wtraverses(w, minIdx) {
+		if slices.Contains(spec.Workloads[w].Path, ref) {
 			delivered += res.Workloads[w].Bytes
 		}
 	}
@@ -788,9 +566,8 @@ func tightestTraceUtilization(spec *Spec, res *Result, n int, traceAt func(link 
 type flowRoute struct{ data, ack []int }
 
 // wireFlows constructs every flow's algorithm, endpoint and receiver and
-// installs its routes, attaching the per-flow metrics hooks. It is the
-// part of scenario execution the chain and mesh compilers share: by the
-// time it runs, a flow is just a pair of edge sequences.
+// installs its routes, attaching the per-flow metrics hooks. By the time
+// it runs, a flow is just a pair of edge sequences.
 //
 // On sharded graphs the endpoint lives on the data route's origin shard
 // and the receiver on its terminal shard (they inject packets

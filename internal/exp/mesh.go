@@ -1,13 +1,14 @@
-// Mesh compilation: a Spec whose topology is Nodes/Edges instead of
-// Links/ReverseLinks describes an arbitrary directed multigraph — named
-// junctions, named edges between them (each carrying a full LinkSpec, or
-// Kind "wire" for a pure propagation hop) — and every flow routes its
-// data and its ACKs over explicit edge-name sequences (FlowSpec.Path /
-// AckPath). Because ACK paths are real routes over real edges, a reverse
-// edge can host an ABC router or a marking qdisc, and the accel/brake
-// echo a receiver stamps onto its ACKs (packet.NewAck) is subject to
-// demotion there exactly like forward-path data marks — the sender ends
-// up pacing to the minimum of marks over the whole round trip.
+// Graph compilation: every Spec runs as a mesh — an arbitrary directed
+// multigraph of named junctions and named edges between them (each
+// carrying a full LinkSpec, or Kind "wire" for a pure propagation hop) —
+// and every flow routes its data and its ACKs over explicit edge-name
+// sequences (FlowSpec.Path / AckPath). Chain-form specs arrive here
+// lowered (chain.go). Because ACK paths are real routes over real edges,
+// a reverse edge can host an ABC router or a marking qdisc, and the
+// accel/brake echo a receiver stamps onto its ACKs (packet.NewAck) is
+// subject to demotion there exactly like forward-path data marks — the
+// sender ends up pacing to the minimum of marks over the whole round
+// trip.
 //
 // Route well-formedness is validated before any wiring happens
 // (topo.Graph.CheckPath): unknown edges, non-contiguous sequences and
@@ -22,15 +23,12 @@ import (
 	"abc/internal/qdisc"
 	"abc/internal/sim"
 	"abc/internal/topo"
-	"abc/internal/trace"
 )
 
-// runMesh compiles and executes a mesh-form Spec. Defaults have already
-// been applied by Run.
-func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
-	if len(spec.Links) > 0 || len(spec.ReverseLinks) > 0 {
-		return nil, nil, fmt.Errorf("exp: Links/ReverseLinks (chain) and Nodes/Edges (mesh) are mutually exclusive")
-	}
+// runGraph compiles and executes a mesh-form spec. caller is the spec
+// Run was given, reported as Result.Spec: spec itself for a mesh, or the
+// chain spec was lowered from. Defaults have already been applied.
+func runGraph(spec, caller Spec) (*Result, *metrics.DelayRecorder, error) {
 	if len(spec.Nodes) == 0 {
 		return nil, nil, fmt.Errorf("exp: mesh spec has edges but no nodes")
 	}
@@ -40,10 +38,18 @@ func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 	if len(spec.Flows) == 0 && len(spec.Workloads) == 0 {
 		return nil, nil, fmt.Errorf("exp: no flows in spec")
 	}
+	// A chain's forward links are its leading edges: they report in
+	// Result.Qdiscs and are the only utilization references, and its
+	// reverse links report in Result.ReverseQdiscs.
+	chain := len(caller.Links) > 0
+	fwd := len(spec.Edges)
+	if chain {
+		fwd = len(caller.Links)
+	}
 
-	res := &Result{Spec: spec, adv: newAdvCollector(&spec)}
+	res := &Result{Spec: caller, adv: newAdvCollector(&spec)}
 	pooled := &metrics.DelayRecorder{}
-	g, err := meshGraph(&spec)
+	g, err := newGraph(&spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -98,7 +104,14 @@ func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 			}
 			// The bottleneck schedules on the feeding junction's shard.
 			fromSim := g.SimFor(from)
-			qd, err := ls.Qdisc.build(meshAutoScheme(&spec, es.Name), fromSim)
+			// "auto" derives from the edge's first data user, else its
+			// first ACK user: a reverse-path router serves the flows
+			// whose echoes it carries.
+			scheme := routeScheme(&spec, es.Name, false)
+			if scheme == "" {
+				scheme = routeScheme(&spec, es.Name, true)
+			}
+			qd, err := ls.Qdisc.build(scheme, fromSim)
 			if err != nil {
 				return nil, nil, fmt.Errorf("exp: edge %q: %v", es.Name, err)
 			}
@@ -107,7 +120,11 @@ func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 				return nil, nil, fmt.Errorf("exp: edge %q: %v", es.Name, err)
 			}
 			res.EdgeQdiscs[es.Name] = qd
-			res.Qdiscs = append(res.Qdiscs, qd)
+			if i < fwd {
+				res.Qdiscs = append(res.Qdiscs, qd)
+			} else {
+				res.ReverseQdiscs = append(res.ReverseQdiscs, qd)
+			}
 			if firstQ == nil {
 				firstQ = qd
 				firstCap = capacityFn(ls)
@@ -132,7 +149,7 @@ func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 		if fs.Dir != Forward || fs.EnterAt != 0 || fs.ExitAt != 0 {
 			return nil, nil, fmt.Errorf("exp: flow %d: Dir/EnterAt/ExitAt are chain fields; mesh flows route via Path/AckPath", i)
 		}
-		r, err := meshRoute(g, edgeID, fs.Path, fs.AckPath, fmt.Sprintf("flow %d", i))
+		r, err := meshRoute(g, edgeID, fs.Path, fs.AckPath, fmt.Sprintf("flow %d", i), !chain)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -144,7 +161,7 @@ func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 		if ws.Dir != Forward || ws.EnterAt != 0 || ws.ExitAt != 0 {
 			return nil, nil, fmt.Errorf("exp: workload %d: Dir/EnterAt/ExitAt are chain fields; mesh workloads route via Path/AckPath", i)
 		}
-		r, err := meshRoute(g, edgeID, ws.Path, ws.AckPath, fmt.Sprintf("workload %d", i))
+		r, err := meshRoute(g, edgeID, ws.Path, ws.AckPath, fmt.Sprintf("workload %d", i), !chain)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -172,29 +189,23 @@ func runMesh(spec Spec) (*Result, *metrics.DelayRecorder, error) {
 		return nil, nil, err
 	}
 
-	// Utilization against the tightest trace edge, counting only flows
-	// whose data path traverses it (the mesh analogue of the chain rule).
-	tightestTraceUtilization(&spec, res, len(spec.Edges),
-		func(ei int) *trace.Trace { return spec.Edges[ei].Link.Trace },
-		func(f, ei int) bool {
-			return slices.Contains(spec.Flows[f].Path, spec.Edges[ei].Name)
-		},
-		func(w, ei int) bool {
-			return slices.Contains(spec.Workloads[w].Path, spec.Edges[ei].Name)
-		})
+	tightestTraceUtilization(&spec, res, fwd)
 	return res, pooled, nil
 }
 
 // meshRoute resolves one data/ACK path pair over named edges and checks
-// their well-formedness, including that a non-empty ACK route picks up
-// where the data route ends: ACKs are generated by the receiver at the
-// data path's terminal node, so a disconnected AckPath would teleport
-// them. The ACK route may end anywhere, though — it models the congested
-// or marked segment of the return journey, and whatever remains after
-// its last edge is the same implicit lossless wire an empty AckPath uses
-// for the whole reverse path (RouteFlow's tail delay carries the
-// residual RTT).
-func meshRoute(g *topo.Graph, edgeID map[string]int, path, ackPath []string, what string) (flowRoute, error) {
+// their well-formedness. With joined set (user-authored meshes) a
+// non-empty ACK route must also pick up where the data route ends: ACKs
+// are generated by the receiver at the data path's terminal node, so a
+// disconnected AckPath would teleport them. A lowered chain is the one
+// exception: its receiver injects ACKs straight into the opposite
+// chain's first junction, wherever the data exits (newGraph keeps the
+// two junctions on one shard). The ACK route may end anywhere, though —
+// it models the congested or marked segment of the return journey, and
+// whatever remains after its last edge is the same implicit lossless
+// wire an empty AckPath uses for the whole reverse path (RouteFlow's
+// tail delay carries the residual RTT).
+func meshRoute(g *topo.Graph, edgeID map[string]int, path, ackPath []string, what string, joined bool) (flowRoute, error) {
 	if len(path) == 0 {
 		return flowRoute{}, fmt.Errorf("exp: %s: mesh flows need a Path", what)
 	}
@@ -206,7 +217,7 @@ func meshRoute(g *topo.Graph, edgeID map[string]int, path, ackPath []string, wha
 	if err != nil {
 		return flowRoute{}, err
 	}
-	if len(ack) > 0 {
+	if joined && len(ack) > 0 {
 		recv := g.Edge(data[len(data)-1]).To
 		if first := g.Edge(ack[0]).From; first != recv {
 			return flowRoute{}, fmt.Errorf("exp: %s: ack path starts at node %q but data path ends at %q",
@@ -237,28 +248,23 @@ func resolvePath(g *topo.Graph, edgeID map[string]int, names []string, owner, wh
 	return ids, nil
 }
 
-// meshAutoScheme picks the deriving scheme for an "auto" qdisc on a mesh
-// edge: the first flow whose data path traverses it, else the first
-// workload's, else the first flow (then workload) whose ACK path does (a
-// reverse-path router serves the flows whose echoes it carries).
-func meshAutoScheme(spec *Spec, edge string) string {
+// routeScheme returns the scheme of the first flow, else the first
+// workload, whose data route (ACK route, when ack is set) traverses the
+// edge, or "" when none does.
+func routeScheme(spec *Spec, edge string, ack bool) string {
+	route := func(path, ackPath []string) []string {
+		if ack {
+			return ackPath
+		}
+		return path
+	}
 	for f := range spec.Flows {
-		if slices.Contains(spec.Flows[f].Path, edge) {
+		if slices.Contains(route(spec.Flows[f].Path, spec.Flows[f].AckPath), edge) {
 			return spec.Flows[f].Scheme
 		}
 	}
 	for w := range spec.Workloads {
-		if slices.Contains(spec.Workloads[w].Path, edge) {
-			return spec.Workloads[w].Scheme
-		}
-	}
-	for f := range spec.Flows {
-		if slices.Contains(spec.Flows[f].AckPath, edge) {
-			return spec.Flows[f].Scheme
-		}
-	}
-	for w := range spec.Workloads {
-		if slices.Contains(spec.Workloads[w].AckPath, edge) {
+		if slices.Contains(route(spec.Workloads[w].Path, spec.Workloads[w].AckPath), edge) {
 			return spec.Workloads[w].Scheme
 		}
 	}

@@ -58,9 +58,8 @@ func EnableMetrics(reg *obs.Registry, period sim.Time) {
 }
 
 // attachObs hands the process-wide recorder, if any, to a freshly built
-// scenario graph. Called by both spec compilers right after graph
-// construction, before any edges exist (AddEdge wires links as they
-// appear).
+// scenario graph. Called right after graph construction, before any
+// edges exist (AddEdge wires links as they appear).
 func attachObs(g *topo.Graph) {
 	if r := traceRec.Load(); r != nil {
 		g.SetRecorder(r)
@@ -88,25 +87,16 @@ type runSampler struct {
 }
 
 // newRunSampler builds the sampler for one scenario, or nil when
-// metrics are off. It must be called after the result's qdisc lists are
-// populated (post buildChain / mesh edge compilation).
+// metrics are off. It must be called after Result.EdgeQdiscs is
+// populated (post edge compilation).
 func newRunSampler(g *topo.Graph, res *Result) *runSampler {
 	reg := metReg.Load()
 	if reg == nil {
 		return nil
 	}
 	rs := &runSampler{reg: reg, g: g, res: res}
-	if res.EdgeQdiscs != nil {
-		for name, q := range res.EdgeQdiscs {
-			rs.qdiscs = append(rs.qdiscs, namedQdisc{name: name, q: q})
-		}
-	} else {
-		for i, q := range res.Qdiscs {
-			rs.qdiscs = append(rs.qdiscs, namedQdisc{name: fmt.Sprintf("fwd%d", i), q: q})
-		}
-		for i, q := range res.ReverseQdiscs {
-			rs.qdiscs = append(rs.qdiscs, namedQdisc{name: fmt.Sprintf("rev%d", i), q: q})
-		}
+	for name, q := range res.EdgeQdiscs {
+		rs.qdiscs = append(rs.qdiscs, namedQdisc{name: name, q: q})
 	}
 	reg.Help("abc_queue_pkts", "Instantaneous bottleneck queue depth in packets.")
 	reg.Help("abc_queue_bytes", "Instantaneous bottleneck queue depth in bytes.")

@@ -1021,10 +1021,10 @@ func (sc *Scenario) Compile() (Spec, error) {
 		// chain links "fwd<i>"/"rev<i>".
 		known := make(map[string]bool, len(sc.Links)+len(sc.ReverseLinks)+len(sc.Edges))
 		for i := range sc.Links {
-			known[fmt.Sprintf("fwd%d", i)] = true
+			known[chainName(Forward, i)] = true
 		}
 		for i := range sc.ReverseLinks {
-			known[fmt.Sprintf("rev%d", i)] = true
+			known[chainName(Reverse, i)] = true
 		}
 		for i := range sc.Edges {
 			known[sc.Edges[i].Name] = true

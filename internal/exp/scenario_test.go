@@ -375,8 +375,8 @@ func TestScenarioWorkloadClauses(t *testing.T) {
 		{"mesh path on chain", `{"scheme": "Cubic", "per_s": 1, "path": ["x"], "size": {"kind": "fixed", "kb": 1}}`},
 	}
 	for _, tc := range bad {
-		// Some routing errors surface at Run (the chain/mesh compilers own
-		// route validation, as for flows); both layers count as rejection.
+		// Some routing errors surface at Run (it owns route validation,
+		// as for flows); both layers count as rejection.
 		spec, err := compile(tc.workload)
 		if err == nil {
 			_, _, err = Run(spec)

@@ -2,10 +2,12 @@
 // per-shard event queues advanced in parallel by a sim.Coordinator
 // (conservative lookahead synchronization; see internal/sim/shard.go).
 // This file owns the spec-level plumbing: which specs are shardable,
-// how a spec's topology becomes a partitioner input, and how per-flow
-// metrics are pooled deterministically after a sharded run.
+// how a mesh-form spec (chains arrive lowered, with junctions
+// "fwd<i>"/"rev<i>" that ShardMap can pin) becomes a partitioner input,
+// and how per-flow metrics are pooled deterministically after a sharded
+// run.
 //
-// Placement rules the compilers follow:
+// Placement rules the compiler follows:
 //   - A junction lives on the shard the partitioner assigns it
 //     (topo.Partition: zero-delay edges are never cut, Spec.ShardMap
 //     pins nodes manually).
@@ -14,9 +16,10 @@
 //     inject packets synchronously into their neighbor.
 //   - A receiver also injects ACKs synchronously into the ACK route's
 //     origin junction, so that junction must share the receiver's
-//     shard. Mesh specs guarantee it structurally (the ACK path starts
-//     where the data path ends); chain specs get a synthetic zero-delay
-//     tie between the two junctions in the partitioner input.
+//     shard. A user-authored mesh guarantees it structurally (the ACK
+//     path starts where the data path ends); where the two differ — a
+//     lowered chain's ACKs enter the opposite chain at its junction 0 —
+//     the partitioner input gets a zero-delay tie between them.
 //
 // Pooled metrics (the pooled delay recorder, adversary class recorders)
 // are not written per packet in sharded mode — receivers on different
@@ -75,72 +78,12 @@ func shardOverride(spec *Spec, nodeIdx map[string]int) (map[int]int, error) {
 	return o, nil
 }
 
-// chainGraph builds the topology graph for a chain-form spec: the plain
-// single-simulator graph at Shards <= 1, a partitioned one otherwise.
-// Chain junctions are named (and ShardMap-addressable) as "fwd<i>" /
-// "rev<i>", matching the edge naming used by event timelines.
-func chainGraph(spec *Spec, spans []span) (*topo.Graph, error) {
-	if spec.Shards <= 1 {
-		return topo.New(sim.New(spec.Seed)), nil
-	}
-	if err := checkShardable(spec); err != nil {
-		return nil, err
-	}
-	// Reproduce buildChain's node creation order: fwd0..fwdN first, then
-	// rev0..revM when a reverse chain exists.
-	nodeIdx := map[string]int{}
-	var n int
-	addChain := func(prefix string, links int) int {
-		base := n
-		for i := 0; i <= links; i++ {
-			nodeIdx[fmt.Sprintf("%s%d", prefix, i)] = n
-			n++
-		}
-		return base
-	}
-	fwdBase := addChain("fwd", len(spec.Links))
-	revBase := -1
-	if len(spec.ReverseLinks) > 0 {
-		revBase = addChain("rev", len(spec.ReverseLinks))
-	}
-	var pedges []topo.PartEdge
-	for i := range spec.Links {
-		pedges = append(pedges, topo.PartEdge{From: fwdBase + i, To: fwdBase + i + 1, Delay: spec.Links[i].Delay})
-	}
-	for i := range spec.ReverseLinks {
-		pedges = append(pedges, topo.PartEdge{From: revBase + i, To: revBase + i + 1, Delay: spec.ReverseLinks[i].Delay})
-	}
-	// Synthetic ties: each flow's receiver (at its data chain's exit
-	// junction) injects ACKs synchronously into the opposite chain's
-	// first junction, so the two must share a shard.
-	for i := range spec.Flows {
-		fs := &spec.Flows[i]
-		var last, ackOrigin int
-		if fs.Dir == Reverse {
-			last, ackOrigin = revBase+spans[i].exit, fwdBase
-		} else {
-			if revBase < 0 {
-				continue // direct ACK wire: no junction injection
-			}
-			last, ackOrigin = fwdBase+spans[i].exit, revBase
-		}
-		pedges = append(pedges, topo.PartEdge{From: last, To: ackOrigin, Delay: 0})
-	}
-	override, err := shardOverride(spec, nodeIdx)
-	if err != nil {
-		return nil, err
-	}
-	assign, err := topo.Partition(n, pedges, spec.Shards, override)
-	if err != nil {
-		return nil, err
-	}
-	return topo.NewSharded(sim.NewCoordinator(spec.Seed, spec.Shards), assign), nil
-}
-
-// meshGraph builds the topology graph for a mesh-form spec, partitioning
-// spec.Nodes (in declaration order) when sharded. Node and edge name
-// validation beyond what the partitioner needs stays with runMesh.
-func meshGraph(spec *Spec) (*topo.Graph, error) {
+// newGraph builds the topology graph for a mesh-form spec: the plain
+// single-simulator graph at Shards <= 1, otherwise one whose junctions
+// (spec.Nodes, in declaration order) are partitioned over the shards.
+// Node and edge name validation beyond what the partitioner needs stays
+// with runGraph.
+func newGraph(spec *Spec) (*topo.Graph, error) {
 	if spec.Shards <= 1 {
 		return topo.New(sim.New(spec.Seed)), nil
 	}
@@ -150,11 +93,12 @@ func meshGraph(spec *Spec) (*topo.Graph, error) {
 	nodeIdx := make(map[string]int, len(spec.Nodes))
 	for i, name := range spec.Nodes {
 		if _, dup := nodeIdx[name]; name == "" || dup {
-			// Defer to runMesh's canonical validation error.
+			// Defer to runGraph's canonical validation error.
 			return topo.New(sim.New(spec.Seed)), nil
 		}
 		nodeIdx[name] = i
 	}
+	edgeIdx := make(map[string]int, len(spec.Edges))
 	pedges := make([]topo.PartEdge, 0, len(spec.Edges))
 	for i := range spec.Edges {
 		es := &spec.Edges[i]
@@ -166,7 +110,24 @@ func meshGraph(spec *Spec) (*topo.Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("exp: edge %q: unknown node %q", es.Name, es.To)
 		}
+		edgeIdx[es.Name] = i
 		pedges = append(pedges, topo.PartEdge{From: from, To: to, Delay: es.Link.Delay})
+	}
+	// Ties: a receiver injects ACKs synchronously into its ACK route's
+	// origin junction, so where that is not the data route's terminal
+	// junction (a lowered chain's ACKs enter the opposite chain at its
+	// junction 0) a zero-delay tie keeps the two on one shard. Unknown
+	// edge names are left for route resolution to reject.
+	for i := range spec.Flows {
+		fs := &spec.Flows[i]
+		if len(fs.Path) == 0 || len(fs.AckPath) == 0 {
+			continue
+		}
+		last, ok := edgeIdx[fs.Path[len(fs.Path)-1]]
+		first, ack := edgeIdx[fs.AckPath[0]]
+		if ok && ack && pedges[last].To != pedges[first].From {
+			pedges = append(pedges, topo.PartEdge{From: pedges[last].To, To: pedges[first].From})
+		}
 	}
 	override, err := shardOverride(spec, nodeIdx)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"abc/internal/netem"
 	"abc/internal/sim"
 )
 
@@ -142,6 +143,39 @@ func TestShardedTargetedMatchesSequential(t *testing.T) {
 		t.Fatal("missing adversary report")
 	}
 	shardedTolerance(t, "victim class p95", seq.Adversary.VictimP95Ms, sh.Adversary.VictimP95Ms, 0.2)
+}
+
+// TestShardedChainAckTie: a chain receiver injects ACKs straight into
+// the opposite chain's junction 0, so the partitioner keeps that junction
+// on the receiver's shard. Pinning the two apart is a contradiction, not
+// a silent cross-shard injection.
+func TestShardedChainAckTie(t *testing.T) {
+	link := LinkSpec{Rate: netem.ConstRate(10e6), Delay: 4 * sim.Millisecond}
+	fwd := FlowSpec{Scheme: "Cubic", ExitAt: 1}    // data exits at fwd1
+	rev := FlowSpec{Scheme: "Cubic", Dir: Reverse} // data exits at rev1
+	for _, tc := range []struct {
+		name string
+		flow FlowSpec
+		pins map[string]int
+		tied bool
+	}{
+		{"forward exit apart from rev0", fwd, map[string]int{"fwd1": 1, "rev0": 0}, true},
+		{"reverse exit apart from fwd0", rev, map[string]int{"rev1": 1, "fwd0": 0}, true},
+		{"forward exit with rev0", fwd, map[string]int{"fwd1": 1, "rev0": 1}, false},
+	} {
+		_, _, err := Run(Spec{
+			Seed: 1, Duration: 2 * sim.Second, Warmup: sim.Second,
+			Shards: 2, ShardMap: tc.pins,
+			Links: []LinkSpec{link, link}, ReverseLinks: []LinkSpec{link},
+			Flows: []FlowSpec{tc.flow},
+		})
+		if tied := err != nil && strings.Contains(err.Error(), "joined by zero-delay edges"); tied != tc.tied {
+			t.Errorf("%s: err = %v, want a zero-delay tie conflict: %v", tc.name, err, tc.tied)
+		}
+		if !tc.tied && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
 }
 
 // TestShardedSpecValidation pins the sharded path's feature gates and
