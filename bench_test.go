@@ -475,6 +475,32 @@ func BenchmarkSimCore(b *testing.B) {
 	}
 }
 
+// BenchmarkDelayLane measures the fixed-delay path of the event core:
+// DelayArgs onto four shared delay lanes, mixed with ordinary timers, and
+// popped through the heap one lane head at a time. Lane rings are
+// recycled like the heap, so steady state must report 0 allocs/op.
+func BenchmarkDelayLane(b *testing.B) {
+	s := sim.New(1)
+	nop := func(a, c any) {}
+	delays := [...]sim.Time{0, 5 * sim.Millisecond, 20 * sim.Millisecond, 50 * sim.Millisecond}
+	cycle := func() {
+		// 64 lane items, 16 timers, 80 pops per iteration.
+		for j := 0; j < 64; j++ {
+			s.DelayArgs(delays[j%len(delays)], nop, nil, nil)
+		}
+		for j := 0; j < 16; j++ {
+			s.AfterArgs(sim.Time(j)*sim.Millisecond, nop, nil, nil)
+		}
+		s.Run()
+	}
+	cycle() // warm the heap, slot table and lane rings
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
 // BenchmarkPacketChurn measures one data/ACK exchange through the packet
 // free-list (see DESIGN.md §2): steady state must report 0 allocs/op.
 func BenchmarkPacketChurn(b *testing.B) {

@@ -186,12 +186,14 @@ func run() error {
 	fmt.Println()
 
 	fmt.Println("## Fig. 18 — RTT sensitivity")
-	f18, err := exp.Fig18RTTSweep([]string{"ABC", "Cubic+Codel", "Cubic", "BBR"}, dur, *seed)
+	f18Schemes := []string{"ABC", "Cubic+Codel", "Cubic", "BBR"}
+	f18, err := exp.Fig18RTTSweep(f18Schemes, dur, *seed)
 	if err != nil {
 		return err
 	}
 	for _, rtt := range []int{20, 50, 100, 200} {
-		for sch, s := range f18[rtt] {
+		for _, sch := range f18Schemes {
+			s := f18[rtt][sch]
 			fmt.Printf("rtt=%3dms %-12s util=%5.1f%% p95=%6.0f ms\n",
 				rtt, sch, s.Utilization*100, s.P95Ms)
 		}

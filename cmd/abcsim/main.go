@@ -392,14 +392,19 @@ func runFig17() error {
 }
 
 func runFig18() error {
-	out, err := exp.Fig18RTTSweep(schemeList(), dur(), *seed)
+	schemes := schemeList()
+	if len(schemes) == 0 {
+		schemes = exp.Schemes
+	}
+	out, err := exp.Fig18RTTSweep(schemes, dur(), *seed)
 	if err != nil {
 		return err
 	}
 	rtts := []int{20, 50, 100, 200}
 	for _, rtt := range rtts {
 		fmt.Printf("## RTT %d ms\n", rtt)
-		for sch, s := range out[rtt] {
+		for _, sch := range schemes {
+			s := out[rtt][sch]
 			fmt.Printf("%-14s util=%5.1f%%  p95=%6.0f ms\n", sch, s.Utilization*100, s.P95Ms)
 		}
 	}

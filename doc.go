@@ -37,10 +37,11 @@
 //
 // The simulation fast path is engineered to be allocation-free in steady
 // state: the event core recycles inline event structs through a 4-ary
-// heap with a slot free-list (internal/sim), packets cycle through a
-// free-list with single-owner release semantics (internal/packet — see
-// packet.Get for the ownership rules), per-packet delay statistics
-// stream through fixed-memory Greenwald-Khanna sketches
+// heap with a slot free-list, and keeps fixed-delay hops in per-delay
+// FIFO lanes that put only their heads in the heap (internal/sim),
+// packets cycle through a free-list with single-owner release semantics
+// (internal/packet — see packet.Get for the ownership rules), per-packet
+// delay statistics stream through fixed-memory Greenwald-Khanna sketches
 // (internal/metrics), and the multi-run figure drivers fan independent
 // (trace, scheme, seed) cells across a bounded worker pool
 // (internal/exp) with byte-identical results to a sequential sweep.

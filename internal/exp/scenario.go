@@ -610,19 +610,19 @@ type ScenarioBackground struct {
 // Scenario is a complete declarative scenario file: either a chain
 // (links / reverse_links) or a mesh (nodes / edges).
 type Scenario struct {
-	Name         string         `json:"name"`
-	Seed         int64          `json:"seed"`
-	DurationS    float64        `json:"duration_s"`
-	WarmupS      float64        `json:"warmup_s"`
-	RTTms        float64        `json:"rtt_ms"`
-	SampleMs     float64        `json:"sample_ms"`
+	Name      string  `json:"name"`
+	Seed      int64   `json:"seed"`
+	DurationS float64 `json:"duration_s"`
+	WarmupS   float64 `json:"warmup_s"`
+	RTTms     float64 `json:"rtt_ms"`
+	SampleMs  float64 `json:"sample_ms"`
 	// Shards splits the simulation into this many parallel event queues
 	// synchronized by conservative lookahead (0/1 = the sequential
 	// simulator). ShardMap pins named junctions (mesh node names, or the
 	// chain junctions "fwd<i>"/"rev<i>") to shard indices; unpinned
 	// junctions are placed by the automatic partitioner.
-	Shards   int            `json:"shards,omitempty"`
-	ShardMap map[string]int `json:"shard_map,omitempty"`
+	Shards       int            `json:"shards,omitempty"`
+	ShardMap     map[string]int `json:"shard_map,omitempty"`
 	Links        []ScenarioLink `json:"links,omitempty"`
 	ReverseLinks []ScenarioLink `json:"reverse_links,omitempty"`
 	Nodes        []string       `json:"nodes,omitempty"`

@@ -16,6 +16,18 @@
 // pointer-shaped arguments inline in the event. Timer.Stop removes the
 // event from the heap eagerly, so canceled events cost nothing and
 // Pending() reflects live events only.
+//
+// Fire-and-forget callbacks on a fixed delay (propagation wires, fixed
+// deferrals) use DelayArgs, which keeps them out of the heap. Each
+// distinct delay d has one FIFO lane shared by every caller with that d.
+// An item is keyed (now+d, seq) exactly as AfterArgs would key it; the
+// clock never runs backwards and seq only grows, so a lane is already
+// sorted by (at, seq), and only its head needs to sit in the heap. When
+// the head runs, the next item takes its place under the seq it drew at
+// scheduling time. The executed (at, seq) order, Executed(), Pending()
+// and the earliest pending time heap[0].at that shard horizons read are
+// therefore the same as if every DelayArgs were an AfterArgs; the heap
+// just holds one entry per delay instead of one per packet in flight.
 package sim
 
 import (
@@ -61,6 +73,7 @@ type ArgsFunc func(a, b any)
 // event is a scheduled callback, stored inline in the heap slice. seq
 // breaks ties between events scheduled for the same instant:
 // earlier-scheduled events run first. Exactly one of fn and fn2 is set.
+// lane is 0 for an ordinary event and index+1 of its lane for a lane head.
 type event struct {
 	at   Time
 	seq  uint64
@@ -68,6 +81,7 @@ type event struct {
 	fn2  ArgsFunc
 	a, b any
 	slot int32
+	lane int32
 }
 
 // slotInfo tracks one Timer handle slot: the event's current heap index
@@ -111,13 +125,21 @@ type Simulator struct {
 	// slot indices. Both are reused for the life of the simulator.
 	slots []slotInfo
 	free  []int32
-	rng  *rand.Rand
-	seed int64
+	rng   *rand.Rand
+	seed  int64
 	// executed counts events run, useful for runaway detection in tests.
 	executed uint64
 	// limit aborts Run after this many events (0 = unlimited).
 	limit  uint64
 	halted bool
+	// lanes are the DelayArgs FIFOs, laneOf maps a delay to its index+1
+	// and lastDelay/lastLane cache the most recent lookup. queued counts
+	// lane items waiting behind their heads, outside the heap.
+	lanes     []*lane
+	laneOf    map[Time]int32
+	lastDelay Time
+	lastLane  int32
+	queued    int
 }
 
 // New returns a simulator with its clock at zero and the given RNG seed.
@@ -285,13 +307,17 @@ func (s *Simulator) AfterArgs(d Time, fn ArgsFunc, a, b any) Timer {
 // Halt stops the run loop after the current event completes.
 func (s *Simulator) Halt() { s.halted = true }
 
-// Pending reports the number of scheduled events. Canceled events are
-// removed eagerly and never counted.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// Pending reports the number of scheduled events, DelayArgs callbacks
+// included. Canceled events are removed eagerly and never counted.
+func (s *Simulator) Pending() int { return len(s.heap) + s.queued }
 
 // popHead removes the root event and returns it.
 func (s *Simulator) popHead() event {
 	ev := s.heap[0]
+	if ev.lane != 0 {
+		s.popLaneHead(ev.lane)
+		return ev
+	}
 	s.heapRemove(0)
 	s.freeSlot(ev.slot)
 	return ev

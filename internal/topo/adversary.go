@@ -240,7 +240,7 @@ func (e *Edge) applyAttack(p *packet.Packet) bool {
 		if e.g.rec.Enabled(obs.CatAttack) {
 			e.g.rec.Emit(int64(e.home.Now()), obs.EvAttackDelay, int32(e.ID), int32(p.Flow), int64(a.ExtraDelay), 0)
 		}
-		e.home.AfterArgs(a.ExtraDelay, advDeliver, e, p)
+		e.home.DelayArgs(a.ExtraDelay, advDeliver, e, p)
 		return false
 	}
 	return true

@@ -159,7 +159,7 @@ type reorderPipe struct {
 // Recv implements packet.Node.
 func (r *reorderPipe) Recv(p *packet.Packet) {
 	if r.rng.Float64() < r.prob {
-		r.s.AfterArgs(r.delay, reorderDeliver, r, p)
+		r.s.DelayArgs(r.delay, reorderDeliver, r, p)
 		return
 	}
 	r.dst.Recv(p)
